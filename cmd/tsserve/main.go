@@ -374,7 +374,7 @@ func main() {
 		fmt.Printf("tsserve: diagnostics armed: bundles in %s, detectors every %v\n", *bundleDir, *diagInterval)
 	}
 
-	httpSrv := &http.Server{Handler: mux}
+	httpSrv := obs.NewHTTPServer(mux)
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 

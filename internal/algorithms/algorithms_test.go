@@ -323,7 +323,7 @@ func TestMemeMatchesReference(t *testing.T) {
 	g := gen.SmallWorld(gen.SmallWorldConfig{N: 600, M: 2, Seed: 7})
 	parts := buildParts(t, g, 3)
 	sir := memeFixture(t, g, 15, 0.2)
-	got, _, err := RunMeme(g, parts, "#viral", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, nil)
+	got, _, err := RunMeme(g, parts, "#viral", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,7 +366,7 @@ func TestMemeRandomProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _, err := RunMeme(g, parts, "#m", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, nil)
+		got, _, err := RunMeme(g, parts, "#m", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, nil, nil, nil)
 		if err != nil {
 			return false
 		}
@@ -388,7 +388,7 @@ func TestMemeCountersMatchColoring(t *testing.T) {
 	parts := buildParts(t, g, 2)
 	sir := memeFixture(t, g, 10, 0.3)
 	rec := metrics.NewRecorder(2)
-	got, _, err := RunMeme(g, parts, "#viral", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, rec)
+	got, _, err := RunMeme(g, parts, "#viral", gen.AttrTweets, core.MemorySource{C: sir.Collection}, bsp.Config{}, rec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

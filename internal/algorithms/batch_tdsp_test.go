@@ -23,7 +23,7 @@ func TestBatchTDSPMatchesSingleSourceRuns(t *testing.T) {
 	for i, s := range sources {
 		queries[i] = BatchQuery{Source: s} // no targets: run the window out
 	}
-	prog, _, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil)
+	prog, _, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestBatchTDSPTargetHaltAndArrival(t *testing.T) {
 		{Source: 30, Targets: []int{5}},
 	}
 	rec := metrics.NewRecorder(len(parts))
-	prog, res, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, rec, nil)
+	prog, res, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, rec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestBatchTDSPNonZeroDeparture(t *testing.T) {
 	parts := buildParts(t, g, 2)
 	src := core.MemorySource{C: c}
 	const depart = 3
-	prog, _, err := RunBatchTDSP(g, parts, []BatchQuery{{Source: 0}}, depart, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil)
+	prog, _, err := RunBatchTDSP(g, parts, []BatchQuery{{Source: 0}}, depart, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

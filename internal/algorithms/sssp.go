@@ -176,34 +176,18 @@ func RunSSSP(
 	cfg bsp.Config,
 ) ([]float64, *core.Result, error) {
 	prog := NewSSSP(parts, src, weightAttr)
-	// A single-instance window over the requested timestep.
-	win := windowSource{src: source, offset: timestep, n: 1}
 	res, err := core.Run(&core.Job{
-		Template:  t,
-		Parts:     parts,
-		Source:    win,
-		Program:   prog,
-		Pattern:   core.SequentiallyDependent,
-		Timesteps: 1,
-		Config:    cfg,
+		Template:      t,
+		Parts:         parts,
+		Source:        source,
+		Program:       prog,
+		Pattern:       core.SequentiallyDependent,
+		StartTimestep: timestep,
+		Timesteps:     1,
+		Config:        cfg,
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	return prog.Distances(parts, t), res, nil
-}
-
-// windowSource exposes a sub-range of another source.
-type windowSource struct {
-	src    core.InstanceSource
-	offset int
-	n      int
-}
-
-// Timesteps implements core.InstanceSource.
-func (w windowSource) Timesteps() int { return w.n }
-
-// Load implements core.InstanceSource.
-func (w windowSource) Load(step int) (*graph.Instance, error) {
-	return w.src.Load(w.offset + step)
 }

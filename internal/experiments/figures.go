@@ -80,7 +80,7 @@ func RunAlgo(ds *Dataset, algo string, k int, cfg bsp.Config, seed int64) (*Scal
 			core.MemorySource{C: ds.Tweets}, cfg, rec, 1)
 	case AlgoMeme:
 		_, res, err = algorithms.RunMeme(ds.Template, parts, ds.Meme, "tweets",
-			core.MemorySource{C: ds.Tweets}, cfg, rec)
+			core.MemorySource{C: ds.Tweets}, cfg, rec, nil, nil)
 	case AlgoTDSP:
 		_, res, err = algorithms.RunTDSP(ds.Template, parts, ds.SourceVertex,
 			core.MemorySource{C: ds.Latencies}, ds.Delta, "latency", cfg, rec)

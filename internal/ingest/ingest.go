@@ -92,7 +92,7 @@ func Open(store *gofs.Store, opt Options) (*Ingester, error) {
 	if err != nil {
 		return nil, err
 	}
-	wal.OnFsync = met.walFsync.observe
+	wal.OnFsync = met.walFsync.Observe
 	wal.GroupWindow = opt.GroupCommitWindow
 	ing := &Ingester{store: store, met: met, opt: opt, app: app, wal: wal}
 	for _, payload := range recovered {

@@ -7,7 +7,29 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"sort"
+	"time"
 )
+
+// Timeouts of every HTTP server the daemons run (NewHTTPServer). A slow or
+// stalled client can hold a connection only this long while sending a
+// request or idling between requests. There is deliberately no write
+// timeout: /debug/pprof/profile streams for its seconds parameter.
+const (
+	httpReadHeaderTimeout = 10 * time.Second
+	httpReadTimeout       = time.Minute
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// NewHTTPServer returns a server for h with the daemons' read and idle
+// timeouts set.
+func NewHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: httpReadHeaderTimeout,
+		ReadTimeout:       httpReadTimeout,
+		IdleTimeout:       httpIdleTimeout,
+	}
+}
 
 // Endpoint is one extra debug endpoint a daemon contributes to the shared
 // debug mux: the serving layer's flight recorder, the diagnostic-bundle
@@ -111,7 +133,7 @@ func Serve(addr string, reg *Registry, extras ...Endpoint) (*http.Server, net.Ad
 	if err != nil {
 		return nil, nil, fmt.Errorf("obs: listen %s: %w", addr, err)
 	}
-	srv := &http.Server{Handler: NewHandler(reg, extras...)}
+	srv := NewHTTPServer(NewHandler(reg, extras...))
 	go func() { _ = srv.Serve(ln) }()
 	return srv, ln.Addr(), nil
 }

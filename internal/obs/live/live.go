@@ -199,7 +199,7 @@ type Recorder struct {
 	nextID atomic.Uint64
 
 	// hists[class][0..2] are the queue/sweep/total latency histograms.
-	hists [][3]*Histogram
+	hists [][3]*obs.Histogram
 
 	total         atomic.Uint64 // queries finished
 	dropped       atomic.Uint64 // traces not retained (tail-sampled away)
@@ -228,6 +228,10 @@ func histStage(st Stage) int {
 
 // histStageNames label the exported histogram's stage dimension.
 var histStageNames = [3]string{"queue", "sweep", "total"}
+
+// latencyBase is the first finite bound of the query latency histograms;
+// the last is 64µs·2^19 ≈ 33.6s.
+const latencyBase = 64 * time.Microsecond
 
 // NewRecorder builds a recorder; see Config for defaults.
 func NewRecorder(cfg Config) *Recorder {
@@ -262,10 +266,10 @@ func NewRecorder(cfg Config) *Recorder {
 		summaries: make([]Summary, cfg.SummaryCap),
 		byID:      make(map[uint64]*Trace),
 	}
-	r.hists = make([][3]*Histogram, len(r.classes))
+	r.hists = make([][3]*obs.Histogram, len(r.classes))
 	for c := range r.hists {
 		for i := range r.hists[c] {
-			r.hists[c][i] = &Histogram{}
+			r.hists[c][i] = obs.NewHistogram(latencyBase)
 		}
 	}
 	return r
@@ -541,7 +545,7 @@ func (r *Recorder) CollectObs(emit func(obs.Sample)) {
 	p := r.cfg.MetricPrefix
 	for c, name := range r.classes {
 		for st, stageName := range histStageNames {
-			r.hists[c][st].emit(emit, p+"_latency_seconds",
+			r.hists[c][st].Emit(emit, p+"_latency_seconds",
 				"Query latency by class and lifecycle stage (log-bucketed).",
 				[]obs.Label{{Key: "class", Value: name}, {Key: "stage", Value: stageName}})
 		}

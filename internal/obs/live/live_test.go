@@ -189,7 +189,7 @@ func TestFinishIdempotent(t *testing.T) {
 // TestHistogramQuantile: observations land in the right buckets and the
 // interpolated quantiles are monotone and within bucket bounds.
 func TestHistogramQuantile(t *testing.T) {
-	var h Histogram
+	h := obs.NewHistogram(latencyBase)
 	if got := h.Snapshot().Quantile(0.99); got != 0 {
 		t.Fatalf("empty histogram quantile = %v", got)
 	}

@@ -267,20 +267,6 @@ func (s *Server) execTopN(batch []*request) error {
 	return nil
 }
 
-func (s *Server) topNParallelism(count int) int {
-	p := s.opt.Cores
-	if p < 1 {
-		p = 1
-	}
-	if p > 4 {
-		p = 4
-	}
-	if count < p {
-		p = count
-	}
-	return p
-}
-
 // execMeme runs the spread of one tag once and answers every probe of that
 // tag from the resulting coloring.
 func (s *Server) execMeme(batch []*request) error {

@@ -101,7 +101,7 @@ func offlineAnswerPayload(tb testing.TB, g *graph.Template, parts []*subgraph.Pa
 		ti := g.VertexIndex(graph.VertexID(q.Target))
 		prog, _, err := algorithms.RunBatchTDSP(g, parts,
 			[]algorithms.BatchQuery{{Source: si, Targets: []int{ti}}},
-			q.Depart, src, fixDelta, gen.AttrLatency, bsp.Config{}, nil, nil)
+			q.Depart, src, fixDelta, gen.AttrLatency, bsp.Config{}, nil, nil, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func offlineAnswerPayload(tb testing.TB, g *graph.Template, parts []*subgraph.Pa
 			Attr: q.Attr, N: q.N, From: q.From, Count: len(steps), Steps: out,
 		}}
 	case "meme":
-		coloredAt, _, err := algorithms.RunMeme(g, parts, q.Tag, gen.AttrTweets, src, bsp.Config{}, nil)
+		coloredAt, _, err := algorithms.RunMeme(g, parts, q.Tag, gen.AttrTweets, src, bsp.Config{}, nil, nil, nil)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -446,14 +446,19 @@ func TestDrain(t *testing.T) {
 
 	var wg sync.WaitGroup
 	answers := make([]error, 3)
-	for i := 0; i < 3; i++ {
+	launch := func(i int) {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
 			_, answers[i] = s.Submit(context.Background(), Query{Kind: "tdsp", Source: 0, Target: int64(10 + i)})
-		}(i)
+		}()
 	}
+	// The first query holds the only worker at the gate before the others
+	// arrive, so they queue instead of joining its batch.
+	launch(0)
 	<-gate.entered
+	launch(1)
+	launch(2)
 	waitFor(t, func() bool { return s.queues[ClassTDSP].depth() == 2 }, "backlog never built")
 
 	drained := make(chan error, 1)

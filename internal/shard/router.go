@@ -155,8 +155,10 @@ func (r *Router) scatterGroup(g *group, req *Request) ([]*Response, error) {
 			defer wg.Done()
 			r.rpcs[m.rank].Add(1)
 			resp, err := m.call(req, r.timeout)
-			if err == nil && resp.Err != "" {
-				err = fmt.Errorf("shard: rank %d: %s", m.rank, resp.Err)
+			if err == nil {
+				if err = resp.check(req); err != nil {
+					err = fmt.Errorf("shard: rank %d: %w", m.rank, err)
+				}
 			}
 			if err != nil {
 				r.rpcErrs[m.rank].Add(1)

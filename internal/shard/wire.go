@@ -2,6 +2,7 @@ package shard
 
 import (
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -73,6 +74,19 @@ type Response struct {
 	SweepNS int64
 	// Rank is the responding global rank.
 	Rank int
+}
+
+// check rejects a failed partial and one whose shape does not match its
+// request, so a bad member fails its group over instead of crashing the
+// merge.
+func (resp *Response) check(req *Request) error {
+	switch {
+	case resp.Err != "":
+		return errors.New(resp.Err)
+	case req.Kind == reqMeme && len(resp.ProbeAt) != len(req.Probes):
+		return fmt.Errorf("%d meme probe answers for %d probes", len(resp.ProbeAt), len(req.Probes))
+	}
+	return nil
 }
 
 // memberClient is the router's connection to one rank's RPC endpoint.

@@ -280,7 +280,7 @@ func TDSP(t *Template, parts []*PartitionData, src int, source InstanceSource, d
 // TrackMeme runs the sequentially dependent meme-tracking temporal BFS and
 // returns, per vertex, the first timestep it was colored (-1 if never).
 func TrackMeme(t *Template, parts []*PartitionData, meme, tweetsAttr string, source InstanceSource, cfg EngineConfig, rec *Recorder) ([]int32, *Result, error) {
-	return algorithms.RunMeme(t, parts, meme, tweetsAttr, source, cfg, rec)
+	return algorithms.RunMeme(t, parts, meme, tweetsAttr, source, cfg, rec, nil, nil)
 }
 
 // AggregateHashtag runs the eventually dependent hashtag aggregation and
