@@ -324,8 +324,9 @@ func (n *Node) LocalPartitions() []int {
 	return out
 }
 
-// Bind attaches the engine that receives injected messages. Must be called
-// before Start.
+// Bind attaches the engine that receives injected messages. Bind before
+// Start so no peer frame arrives without an engine; a later Bind replaces
+// the engine for the frames that arrive after it.
 func (n *Node) Bind(e *bsp.Engine) {
 	n.mu.Lock()
 	n.engine = e
@@ -446,9 +447,13 @@ func (n *Node) Start() error {
 	// that both directions of every pair are up (the pong travels on the
 	// responder's own outgoing connection). Later rounds piggyback on the
 	// temporal exchange, refreshing the estimate once per timestep.
-	n.probeOffsets(3)
+	n.probeOffsets(startupProbeRounds)
 	return nil
 }
+
+// startupProbeRounds is how many clock-offset probe rounds Start fires at
+// every peer.
+const startupProbeRounds = 3
 
 // probeOffsets fires `rounds` ping frames at every peer. Replies are
 // absorbed asynchronously by readLoop; a short spacing between rounds lets

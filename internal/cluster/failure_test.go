@@ -120,6 +120,15 @@ func (nopCoord) ExchangeTemporal(ts int, out []bsp.Message, votes int) ([]bsp.Me
 func TestWireCountersNoDoubleCountOnDisconnect(t *testing.T) {
 	nodes := mesh(t, 2, []int32{0, 1})
 	p := nodes[0].peers[1]
+	// Start probes clock offsets both ways, and node 0 answers node 1's
+	// pings on p from its read loop. Take the baseline once those pongs,
+	// after node 0's own pings, are on the wire.
+	for deadline := time.Now().Add(5 * time.Second); p.framesSent.Load() < 2*startupProbeRounds; {
+		if time.Now().After(deadline) {
+			t.Fatalf("startup probes: %d frames sent, want %d", p.framesSent.Load(), 2*startupProbeRounds)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	base := p.framesSent.Load()
 
 	f := &frame{Kind: kindPing, Rank: 0, T1: 1}
