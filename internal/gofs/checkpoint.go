@@ -78,12 +78,11 @@ func WriteCheckpoint(dir string, rank, timestep int, payload []byte) error {
 // mismatches all return an error and never a partial payload.
 func ReadCheckpoint(dir string, rank, timestep int) ([]byte, error) {
 	path := CheckpointPath(dir, rank, timestep)
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := newReader(f)
+	r := newReader(buf)
 	if m := r.u32(); r.err == nil && m != checkpointMagic {
 		return nil, fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}
@@ -100,8 +99,9 @@ func ReadCheckpoint(dir string, rank, timestep int) ([]byte, error) {
 	if r.err == nil && n > maxListLen {
 		return nil, fmt.Errorf("gofs: %s: payload length %d exceeds format limit", path, n)
 	}
-	payload := make([]byte, n)
-	r.read(payload)
+	// The payload is returned as a view of the file buffer: the buffer
+	// holds nothing else but the fixed header and checksum.
+	payload := r.take(int(n))
 	if err := r.verifyCRC(); err != nil {
 		return nil, fmt.Errorf("gofs: %s: %w", path, err)
 	}

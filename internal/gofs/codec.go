@@ -131,15 +131,19 @@ func (w *writer) finish() error {
 	return w.w.Flush()
 }
 
-// reader wraps a bufio.Reader with a running CRC and sticky error.
+// reader decodes a file's bytes already held in memory: a cursor over the
+// buffer with a sticky error. Every read is bounds-checked against the
+// bytes left before anything is allocated, so a corrupt length prefix
+// fails instead of allocating what it claims; verifyCRC checksums the
+// consumed bytes in one pass.
 type reader struct {
-	r   *bufio.Reader
-	crc uint32
+	buf []byte
+	off int
 	err error
 }
 
-func newReader(r io.Reader) *reader {
-	return &reader{r: bufio.NewReaderSize(r, 1<<16)}
+func newReader(buf []byte) *reader {
+	return &reader{buf: buf}
 }
 
 func (r *reader) fail(err error) {
@@ -148,47 +152,72 @@ func (r *reader) fail(err error) {
 	}
 }
 
-func (r *reader) read(p []byte) {
+func (r *reader) remaining() int { return len(r.buf) - r.off }
+
+// take consumes the next n bytes, returning a view into the buffer (nil
+// on error). Running short fails with io.EOF when nothing is left and
+// io.ErrUnexpectedEOF otherwise, as io.ReadFull would.
+func (r *reader) take(n int) []byte {
 	if r.err != nil {
-		return
+		return nil
 	}
-	if _, err := io.ReadFull(r.r, p); err != nil {
-		r.err = err
-		return
+	if n > r.remaining() {
+		if r.remaining() == 0 {
+			r.err = io.EOF
+		} else {
+			r.err = io.ErrUnexpectedEOF
+		}
+		return nil
 	}
-	r.crc = crc32.Update(r.crc, crc32.IEEETable, p)
+	p := r.buf[r.off : r.off+n : r.off+n]
+	r.off += n
+	return p
+}
+
+// need fails unless n values of at least width bytes each fit in the bytes
+// left — the guard every length prefix passes before its make. Callers
+// have already capped n at a format limit (at most maxListLen), so n*width
+// cannot overflow.
+func (r *reader) need(n uint64, width int, what string) bool {
+	if r.err != nil {
+		return false
+	}
+	if left := uint64(r.remaining()); n*uint64(width) > left {
+		r.fail(fmt.Errorf("gofs: %s of %d entries overruns the %d bytes left: %w", what, n, left, io.ErrUnexpectedEOF))
+		return false
+	}
+	return true
 }
 
 func (r *reader) u32() uint32 {
-	var buf [4]byte
-	r.read(buf[:])
-	if r.err != nil {
+	p := r.take(4)
+	if p == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint32(buf[:])
+	return binary.LittleEndian.Uint32(p)
 }
 
 func (r *reader) u64() uint64 {
-	var buf [8]byte
-	r.read(buf[:])
-	if r.err != nil {
+	p := r.take(8)
+	if p == nil {
 		return 0
 	}
-	return binary.LittleEndian.Uint64(buf[:])
+	return binary.LittleEndian.Uint64(p)
 }
 
-func (r *reader) i32() int32   { return int32(r.u32()) }
-func (r *reader) i64() int64   { return int64(r.u64()) }
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
+func (r *reader) i64() int64 { return int64(r.u64()) }
 
 func (r *reader) byteVal() byte {
-	var buf [1]byte
-	r.read(buf[:])
-	return buf[0]
+	p := r.take(1)
+	if p == nil {
+		return 0
+	}
+	return p[0]
 }
 
 func (r *reader) boolVal() bool { return r.byteVal() != 0 }
 
+// str copies the string out of the buffer, so decoded values never pin it.
 func (r *reader) str() string {
 	n := r.u32()
 	if r.err != nil {
@@ -198,12 +227,12 @@ func (r *reader) str() string {
 		r.fail(fmt.Errorf("gofs: string length %d exceeds format limit", n))
 		return ""
 	}
-	buf := make([]byte, n)
-	r.read(buf)
-	return string(buf)
+	return string(r.take(int(n)))
 }
 
-func (r *reader) listLen() int {
+// listLen reads a list's length prefix and checks it against both the
+// format limit and the bytes left for entries of the given width.
+func (r *reader) listLen(width int) int {
 	n := r.u64()
 	if r.err != nil {
 		return 0
@@ -212,55 +241,51 @@ func (r *reader) listLen() int {
 		r.fail(fmt.Errorf("gofs: list length %d exceeds format limit", n))
 		return 0
 	}
+	if !r.need(n, width, "list") {
+		return 0
+	}
 	return int(n)
 }
 
 func (r *reader) i32s() []int32 {
-	n := r.listLen()
-	if r.err != nil {
+	n := r.listLen(4)
+	p := r.take(4 * n)
+	if p == nil {
 		return nil
 	}
 	out := make([]int32, n)
-	var buf [4]byte
 	for i := range out {
-		r.read(buf[:])
-		if r.err != nil {
-			return nil
-		}
-		out[i] = int32(binary.LittleEndian.Uint32(buf[:]))
+		out[i] = int32(binary.LittleEndian.Uint32(p[4*i:]))
 	}
 	return out
 }
 
 func (r *reader) i64s() []int64 {
-	n := r.listLen()
-	if r.err != nil {
+	n := r.listLen(8)
+	p := r.take(8 * n)
+	if p == nil {
 		return nil
 	}
 	out := make([]int64, n)
-	var buf [8]byte
 	for i := range out {
-		r.read(buf[:])
-		if r.err != nil {
-			return nil
-		}
-		out[i] = int64(binary.LittleEndian.Uint64(buf[:]))
+		out[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 	}
 	return out
 }
 
-// verifyCRC reads the trailing checksum and compares it with the running
-// CRC of everything read so far.
+// verifyCRC checksums exactly the bytes decoded so far in one pass and
+// compares the result with the trailing checksum that follows them. A
+// structural error recorded during decode takes precedence.
 func (r *reader) verifyCRC() error {
 	if r.err != nil {
 		return r.err
 	}
-	want := r.crc
-	var buf [4]byte
-	if _, err := io.ReadFull(r.r, buf[:]); err != nil {
-		return fmt.Errorf("gofs: reading checksum: %w", err)
+	want := crc32.ChecksumIEEE(r.buf[:r.off])
+	p := r.take(4)
+	if p == nil {
+		return fmt.Errorf("gofs: reading checksum: %w", r.err)
 	}
-	got := binary.LittleEndian.Uint32(buf[:])
+	got := binary.LittleEndian.Uint32(p)
 	if got != want {
 		return fmt.Errorf("gofs: checksum mismatch: file %08x, computed %08x", got, want)
 	}
@@ -284,6 +309,10 @@ func readSchema(r *reader) *graph.Schema {
 	}
 	if n > 1<<16 {
 		r.fail(fmt.Errorf("gofs: schema with %d attributes exceeds limit", n))
+		return nil
+	}
+	// Each attribute is at least a string length prefix and a type byte.
+	if !r.need(uint64(n), 5, "schema") {
 		return nil
 	}
 	names := make([]string, n)
@@ -368,8 +397,23 @@ func copyColumnValues(prev, dst *graph.Column, indices []int32) {
 	}
 }
 
+// minValueWidth is the fewest bytes one encoded value of a column type
+// takes: strings and string lists are at least their length prefix.
+func minValueWidth(t graph.AttrType) int {
+	switch t {
+	case graph.TInt, graph.TFloat:
+		return 8
+	case graph.TString, graph.TStringList:
+		return 4
+	default:
+		return 1
+	}
+}
+
 // readColumnValues deserializes column values into dst at the given indices.
-// The on-disk type and count must match.
+// The on-disk type and count must match, and the count must fit in the
+// bytes left. Fixed-width columns are decoded straight off one bounds-checked
+// span of the buffer.
 func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 	typ := graph.AttrType(r.byteVal())
 	count := r.u64()
@@ -384,14 +428,19 @@ func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 		r.fail(fmt.Errorf("gofs: column has %d values, expected %d", count, len(indices)))
 		return
 	}
+	if !r.need(count, minValueWidth(typ), "column") {
+		return
+	}
 	switch dst.Type {
 	case graph.TInt:
-		for _, i := range indices {
-			dst.Ints[i] = r.i64()
+		p := r.take(8 * len(indices))
+		for k, i := range indices {
+			dst.Ints[i] = int64(binary.LittleEndian.Uint64(p[8*k:]))
 		}
 	case graph.TFloat:
-		for _, i := range indices {
-			dst.Floats[i] = r.f64()
+		p := r.take(8 * len(indices))
+		for k, i := range indices {
+			dst.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*k:]))
 		}
 	case graph.TString:
 		for _, i := range indices {
@@ -407,6 +456,9 @@ func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 				r.fail(fmt.Errorf("gofs: string list of %d entries exceeds limit", n))
 				return
 			}
+			if !r.need(uint64(n), 4, "string list") {
+				return
+			}
 			var list []string
 			if n > 0 {
 				list = make([]string, n)
@@ -417,8 +469,9 @@ func readColumnValues(r *reader, dst *graph.Column, indices []int32) {
 			dst.StringLists[i] = list
 		}
 	case graph.TBool:
-		for _, i := range indices {
-			dst.Bools[i] = r.boolVal()
+		p := r.take(len(indices))
+		for k, i := range indices {
+			dst.Bools[i] = p[k] != 0
 		}
 	default:
 		r.fail(fmt.Errorf("gofs: cannot decode column type %v", dst.Type))

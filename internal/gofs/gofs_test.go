@@ -187,32 +187,50 @@ func TestLoaderRange(t *testing.T) {
 	}
 }
 
+// TestCorruptionDetected flips each byte of one full-format (v1) and one
+// delta-encoded (v2) slice file in turn, then truncates the file at each
+// offset: every load must fail with a checksum or structural error, never
+// succeed silently. This pins that the checksum covers exactly the bytes
+// the decode consumed.
 func TestCorruptionDetected(t *testing.T) {
-	dir := t.TempDir()
 	c, a := makeDataset(t, 4, 2)
-	if err := WriteDataset(dir, c, a, 2, 3); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in the middle of every slice file; loading must fail
-	// with a checksum (or structural) error, never succeed silently.
-	slices, err := filepath.Glob(filepath.Join(dir, "slices", "*.slice"))
-	if err != nil || len(slices) == 0 {
-		t.Fatalf("no slice files found: %v", err)
-	}
-	data, err := os.ReadFile(slices[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xFF
-	if err := os.WriteFile(slices[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.LoadAll(); err == nil {
-		t.Fatal("corrupted slice loaded without error")
+	fullDir, deltaDir := writeBoth(t, c, a, 2, 3, 2)
+	for _, tc := range []struct{ name, dir string }{{"v1", fullDir}, {"v2", deltaDir}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(tc.dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Pack 0 of the v2 copy holds a snapshot and a delta record.
+			path := slicePath(tc.dir, 0, 0, 0)
+			orig, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			load := func(data []byte) error {
+				if err := os.WriteFile(path, data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				_, _, err := s.ReadPack(0, nil)
+				return err
+			}
+			if err := load(orig); err != nil {
+				t.Fatalf("intact slice: %v", err)
+			}
+			data := append([]byte(nil), orig...)
+			for off := range data {
+				data[off] ^= 0xFF
+				if load(data) == nil {
+					t.Fatalf("byte %d of %d flipped: loaded without error", off, len(data))
+				}
+				data[off] ^= 0xFF
+			}
+			for cut := 0; cut < len(orig); cut++ {
+				if load(orig[:cut]) == nil {
+					t.Fatalf("truncated to %d of %d bytes: loaded without error", cut, len(orig))
+				}
+			}
+		})
 	}
 }
 

@@ -1,11 +1,11 @@
 package gofs
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -230,11 +230,10 @@ func (s *Store) ReadPackDeltasParts(ps int, inj *chaos.Injector, want []bool) (i
 	return s.readPackSlices(ps, want)
 }
 
-func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph.Delta, int, error) {
-	decodeStart := time.Now()
-	defer func() { s.tel.ObservePackDecode(time.Since(decodeStart)) }()
-	m := s.m()
-	t := s.template
+// newPack allocates the zero-valued instances of the pack starting at ps,
+// plus its empty change summaries when the dataset is delta-encoded, for
+// slice decodes to fill.
+func (s *Store) newPack(m *Manifest, ps int) ([]*graph.Instance, []*graph.Delta) {
 	packLen := m.Pack
 	if ps+packLen > m.Timesteps {
 		packLen = m.Timesteps - ps
@@ -242,7 +241,7 @@ func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph
 	instances := make([]*graph.Instance, packLen)
 	for i := range instances {
 		step := ps + i
-		instances[i] = graph.NewInstance(t, step, m.T0+int64(step)*m.Delta)
+		instances[i] = graph.NewInstance(s.template, step, m.T0+int64(step)*m.Delta)
 	}
 	var deltas []*graph.Delta
 	if m.SnapshotEvery > 0 {
@@ -253,6 +252,16 @@ func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph
 			}
 		}
 	}
+	return instances, deltas
+}
+
+func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph.Delta, int, error) {
+	decodeStart := time.Now()
+	defer func() { s.tel.ObservePackDecode(time.Since(decodeStart)) }()
+	m := s.m()
+	t := s.template
+	instances, deltas := s.newPack(m, ps)
+	packLen := len(instances)
 	reads := 0
 	for p := 0; p < m.K; p++ {
 		if want != nil && (p >= len(want) || !want[p]) {
@@ -268,35 +277,66 @@ func (s *Store) readPackSlices(ps int, want []bool) ([]*graph.Instance, []*graph
 	}
 	// Each vertex and edge belongs to exactly one bin, so the per-bin
 	// summaries concatenate without duplicates; sort for determinism.
-	for _, d := range deltas {
-		if d != nil {
-			sort.Slice(d.Verts, func(a, b int) bool { return d.Verts[a] < d.Verts[b] })
-			sort.Slice(d.Edges, func(a, b int) bool { return d.Edges[a] < d.Edges[b] })
+	if deltas != nil {
+		vMark, eMark := make([]bool, t.NumVertices()), make([]bool, t.NumEdges())
+		for _, d := range deltas {
+			if d != nil {
+				d.Verts = sortIndices(d.Verts, vMark)
+				d.Edges = sortIndices(d.Edges, eMark)
+			}
 		}
 	}
 	return instances, deltas, reads, nil
 }
 
+// sortIndices puts in-range template indices in ascending order by marking
+// them in mark (all false, one entry per index, and left all false again)
+// and scanning it. The scan is O(len(mark)) per summary, no more than the
+// per-timestep copy of every bin member a pack decode already makes, and it
+// avoids O(n log n) comparisons on dense summaries such as a timestep where
+// every vertex's load changed.
+func sortIndices(xs []int32, mark []bool) []int32 {
+	for _, x := range xs {
+		mark[x] = true
+	}
+	k := 0
+	for i, set := range mark {
+		if set {
+			xs[k] = int32(i)
+			k++
+			mark[i] = false
+		}
+	}
+	return xs[:k]
+}
+
 func (s *Store) readSlice(path string, m *Manifest, p, b, ps, packLen int, instances []*graph.Instance, deltas []*graph.Delta) error {
 	readStart := time.Now()
 	defer func() { s.tel.ObserveSliceRead(time.Since(readStart)) }()
-	f, err := os.Open(path)
+	// One read of the whole file, sized from Stat. Bytes read are counted
+	// before decompression, so they measure disk traffic.
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	// Count file bytes below any decompression so bytes-read reflects disk
-	// traffic, not the inflated payload.
-	var src io.Reader = &countingReader{r: f, t: s.tel}
+	s.tel.AddBytesRead(int64(len(buf)))
 	if m.Compress {
-		gz, err := gzip.NewReader(src)
+		gz, err := gzip.NewReader(bytes.NewReader(buf))
 		if err != nil {
 			return fmt.Errorf("gofs: %s: %w", path, err)
 		}
 		defer gz.Close()
-		src = gz
+		if buf, err = io.ReadAll(gz); err != nil {
+			return fmt.Errorf("gofs: %s: %w", path, err)
+		}
 	}
-	r := newReader(src)
+	return s.decodeSlice(newReader(buf), path, p, b, ps, packLen, instances, deltas)
+}
+
+// decodeSlice decodes one slice file's bytes into instances (and, for a
+// delta-encoded dataset, the change summaries into deltas), checking the
+// header against the slice the caller expects. path labels errors.
+func (s *Store) decodeSlice(r *reader, path string, p, b, ps, packLen int, instances []*graph.Instance, deltas []*graph.Delta) error {
 	if m := r.u32(); r.err == nil && m != sliceMagic {
 		return fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}

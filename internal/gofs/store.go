@@ -449,12 +449,11 @@ func writeTemplateFile(path string, t *graph.Template) error {
 }
 
 func readTemplateFile(path string) (*graph.Template, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := newReader(f)
+	r := newReader(buf)
 	if m := r.u32(); r.err == nil && m != templateMagic {
 		return nil, fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}
@@ -550,12 +549,15 @@ func writeManifestAtomic(path string, m *Manifest) error {
 }
 
 func readManifestFile(path string) (*Manifest, error) {
-	f, err := os.Open(path)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	r := newReader(f)
+	return decodeManifest(newReader(buf), path)
+}
+
+// decodeManifest decodes a manifest file's bytes; path labels errors.
+func decodeManifest(r *reader, path string) (*Manifest, error) {
 	if m := r.u32(); r.err == nil && m != manifestMagic {
 		return nil, fmt.Errorf("gofs: %s: bad magic %08x", path, m)
 	}

@@ -1,7 +1,6 @@
 package gofs
 
 import (
-	"io"
 	"sync/atomic"
 	"time"
 
@@ -121,16 +120,4 @@ func (t *Telemetry) CollectObs(emit func(obs.Sample)) {
 	emit(obs.Sample{Name: "tsgofs_delta_steps",
 		Help: "Timesteps stored as delta records.",
 		Kind: "gauge", Value: float64(t.deltaSteps.Load())})
-}
-
-// countingReader counts bytes pulled through it into a Telemetry.
-type countingReader struct {
-	r io.Reader
-	t *Telemetry
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.t.AddBytesRead(int64(n))
-	return n, err
 }
