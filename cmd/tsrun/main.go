@@ -307,7 +307,10 @@ func main() {
 		if *ckptDir != "" {
 			// The wrapper owns its Job, so the checkpointed variant builds
 			// the Job here to reach the checkpoint fields.
-			prog := algorithms.NewTDSP(parts, srcIdx, float64(manifest.Delta), tsgraph.AttrLatency)
+			prog, err := tsgraph.NewTDSPProgram(parts, srcIdx, float64(manifest.Delta), tsgraph.AttrLatency)
+			if err != nil {
+				log.Fatal(err)
+			}
 			r, err = core.Run(&core.Job{
 				Template: tmpl, Parts: parts, Source: src, Program: prog,
 				Pattern: core.SequentiallyDependent, Config: cfg, Recorder: rec,
@@ -316,7 +319,8 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			arrivals = prog.Arrivals(parts, tmpl)
+			r.Outputs = prog.Outputs(0, parts, tmpl)
+			arrivals = prog.ArrivalsOf(0, parts, tmpl)
 		} else if arrivals, r, err = tsgraph.TDSP(tmpl, parts, srcIdx, src,
 			float64(manifest.Delta), tsgraph.AttrLatency, cfg, rec); err != nil {
 			log.Fatal(err)
@@ -587,10 +591,15 @@ func runDistributed(store *tsgraph.Store, rank int, addrs []string, algo string,
 	var report func()
 	switch algo {
 	case "tdsp":
-		prog := algorithms.NewTDSP(local, srcIdx, float64(store.Manifest().Delta), tsgraph.AttrLatency)
+		// Built over every partition, so the source resolves on every rank;
+		// the job runs this rank's share.
+		prog, err := tsgraph.NewTDSPProgram(parts, srcIdx, float64(store.Manifest().Delta), tsgraph.AttrLatency)
+		if err != nil {
+			log.Fatal(err)
+		}
 		job.Program = prog
 		report = func() {
-			arr := prog.Arrivals(local, tmpl)
+			arr := prog.ArrivalsOf(0, local, tmpl)
 			reached := 0
 			for _, pd := range local {
 				for _, g := range pd.GlobalIdx {

@@ -125,7 +125,10 @@ func main() {
 	// 2. Crew dispatch from the control center at the NW corner, honoring
 	// line outages: with the storm corridor down, eastern substations are
 	// only reachable after restoration.
-	prog := tsgraph.NewTDSPProgram(parts, tmpl.VertexIndex(id(0, 0)), delta, tsgraph.AttrLatency)
+	prog, err := tsgraph.NewTDSPProgram(parts, tmpl.VertexIndex(id(0, 0)), delta, tsgraph.AttrLatency)
+	if err != nil {
+		log.Fatal(err)
+	}
 	prog.ExistsAttr = "exists"
 	res, err := tsgraph.Run(&tsgraph.Job{
 		Template: tmpl, Parts: parts,
@@ -135,7 +138,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	arr := prog.Arrivals(parts, tmpl)
+	arr := prog.ArrivalsOf(0, parts, tmpl)
 	west := tmpl.VertexIndex(id(*rows/2, stormCol-2))
 	east := tmpl.VertexIndex(id(*rows/2, stormCol+2))
 	far := tmpl.VertexIndex(id(*rows-1, *cols-1))

@@ -262,28 +262,124 @@ func TestTDSPStopsEarlyWhenAllFinalized(t *testing.T) {
 	if rec.CounterTotal(CounterFinalized) != int64(g.NumVertices()) {
 		t.Errorf("finalized counter %d, want %d", rec.CounterTotal(CounterFinalized), g.NumVertices())
 	}
+
+	// ROAD fixtures pin the halt timestep and superstep count exactly: a
+	// single-source run stops in the timestep its last vertex finalizes.
+	for _, tc := range []struct {
+		n, timesteps, supersteps int
+		halted                   bool
+	}{
+		{8, 6, 16, true},
+		{30, 20, 54, true},
+		{100, 40, 84, false},
+	} {
+		g, parts, c := roadHaltFixture(t, tc.n)
+		rec := metrics.NewRecorder(len(parts))
+		arr, res, err := RunTDSP(g, parts, 0, core.MemorySource{C: c}, 60, gen.AttrLatency, bsp.Config{CoresPerHost: 2}, rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.TimestepsRun != tc.timesteps || res.Supersteps != tc.supersteps || res.HaltedEarly != tc.halted {
+			t.Errorf("%dx%d: %d timesteps, %d supersteps, halted early %v; want %d, %d, %v",
+				tc.n, tc.n, res.TimestepsRun, res.Supersteps, res.HaltedEarly, tc.timesteps, tc.supersteps, tc.halted)
+		}
+		requireArrivals(t, refTDSP(c, 0, gen.AttrLatency, 60), arr)
+		reached := 0
+		for _, a := range arr {
+			if !math.IsInf(a, 1) {
+				reached++
+			}
+		}
+		if rec.CounterTotal(CounterFinalized) != int64(reached) {
+			t.Errorf("%dx%d: finalized counter %d, want %d", tc.n, tc.n, rec.CounterTotal(CounterFinalized), reached)
+		}
+	}
+}
+
+// TestMixedBatchHaltsWhenResolved runs a targeted and an untargeted query
+// in one batch: the sweep stops in the first timestep by which the target
+// and every vertex of the untargeted query are finalized.
+func TestMixedBatchHaltsWhenResolved(t *testing.T) {
+	g, parts, c := roadHaltFixture(t, 8)
+	src := core.MemorySource{C: c}
+	queries := []BatchQuery{{Source: 63, Targets: []int{9}}, {Source: 0}}
+	prog, res, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{CoresPerHost: 2}, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireArrivals(t, refTDSP(c, 0, gen.AttrLatency, 60), prog.ArrivalsOf(1, parts, g))
+	arr, at, ok := prog.Arrival(0, 9)
+	if want := refTDSP(c, 63, gen.AttrLatency, 60)[9]; !ok || math.Abs(arr-want) > 1e-9 {
+		t.Fatalf("target 9 from 63: arrival %v (resolved %v), want %v", arr, ok, want)
+	}
+	_, single, err := RunTDSP(g, parts, 0, src, 60, gen.AttrLatency, bsp.Config{CoresPerHost: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := max(single.TimestepsRun, at+1)
+	if !res.HaltedEarly || res.TimestepsRun != want {
+		t.Errorf("mixed batch ran %d timesteps (halted early %v), want a halt after %d", res.TimestepsRun, res.HaltedEarly, want)
+	}
+}
+
+// roadHaltFixture is an n×n ROAD template over 4 partitions with 40
+// timesteps of latencies in [5, 50] at δ=60.
+func roadHaltFixture(tb testing.TB, n int) (*graph.Template, []*subgraph.PartitionData, *graph.Collection) {
+	tb.Helper()
+	g := gen.RoadNetwork(gen.RoadConfig{Rows: n, Cols: n, RemoveFrac: 0.15, ShortcutFrac: 0.01, Seed: 1})
+	c, err := gen.RandomLatencies(g, gen.LatencyConfig{Timesteps: 40, Delta: 60, Min: 5, Max: 50, Seed: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return g, buildParts(tb, g, 4), c
+}
+
+// requireArrivals fails unless got matches the reference arrivals: the
+// same vertices reached, at the same times.
+func requireArrivals(tb testing.TB, want, got []float64) {
+	tb.Helper()
+	for v := range want {
+		if math.IsInf(want[v], 1) != math.IsInf(got[v], 1) ||
+			(!math.IsInf(want[v], 1) && math.Abs(want[v]-got[v]) > 1e-9) {
+			tb.Fatalf("vertex %d: arrival %v, reference %v", v, got[v], want[v])
+		}
+	}
 }
 
 func TestTDSPOutputsMatchArrivals(t *testing.T) {
 	g := gen.RoadNetwork(gen.RoadConfig{Rows: 6, Cols: 6, Seed: 6})
 	parts := buildParts(t, g, 2)
 	c := latencyFixture(t, g, 20, 10, 15)
-	prog := NewTDSP(parts, 0, 10, gen.AttrLatency)
-	res, err := core.Run(&core.Job{
-		Template: g, Parts: parts,
-		Source:  core.MemorySource{C: c},
-		Program: prog, Pattern: core.SequentiallyDependent,
-	})
+	arr, res, err := RunTDSP(g, parts, 0, core.MemorySource{C: c}, 10, gen.AttrLatency, bsp.Config{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr := prog.Arrivals(parts, g)
 	seen := map[graph.VertexID]bool{}
-	for _, o := range res.Outputs {
+	var prev core.Output
+	for i, o := range res.Outputs {
 		r, ok := o.Data.(TDSPResult)
 		if !ok {
-			continue
+			t.Fatalf("output %d carries %T", i, o.Data)
 		}
+		if o.Timestep != r.Timestep {
+			t.Fatalf("output %d: record timestep %d, result timestep %d", i, o.Timestep, r.Timestep)
+		}
+		// Outputs run by timestep, then emitting subgraph, then ascending
+		// local vertex within the subgraph.
+		if i > 0 {
+			pr := prev.Data.(TDSPResult)
+			lvOf := func(o core.Output, r TDSPResult) int32 {
+				return localIndex(parts[o.From.Partition()], g.VertexIndex(r.Vertex))
+			}
+			switch {
+			case o.Timestep < prev.Timestep,
+				o.Timestep == prev.Timestep && o.From < prev.From,
+				o.Timestep == prev.Timestep && o.From == prev.From && lvOf(o, r) <= lvOf(prev, pr):
+				t.Fatalf("output %d (t%d %v vertex %d) out of order after (t%d %v vertex %d)",
+					i, o.Timestep, o.From, r.Vertex, prev.Timestep, prev.From, pr.Vertex)
+			}
+		}
+		prev = o
 		if seen[r.Vertex] {
 			t.Fatalf("vertex %d finalized twice", r.Vertex)
 		}
@@ -304,6 +400,16 @@ func TestTDSPOutputsMatchArrivals(t *testing.T) {
 	if len(seen) != finals {
 		t.Errorf("%d outputs but %d finalized vertices", len(seen), finals)
 	}
+}
+
+// localIndex returns the partition-local index of template vertex g in pd.
+func localIndex(pd *subgraph.PartitionData, g int) int32 {
+	for lv, gi := range pd.GlobalIdx {
+		if int(gi) == g {
+			return int32(lv)
+		}
+	}
+	return -1
 }
 
 func memeFixture(tb testing.TB, g *graph.Template, steps int, hitProb float64) *gen.SIRResult {

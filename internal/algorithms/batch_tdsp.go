@@ -1,6 +1,8 @@
 package algorithms
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -13,42 +15,16 @@ import (
 	"tsgraph/internal/subgraph"
 )
 
-// CounterTargetsDone is the per-partition metric a batched TDSP run
-// accumulates: the number of (query, target) pairs finalized in a timestep.
-// RunBatchTDSP's halt condition stops the sweep once every target of every
-// query is resolved.
-const CounterTargetsDone = "targets-finalized"
-
 // BatchQuery is one source of a multi-source TDSP batch, with the target
 // vertices its clients asked about.
 type BatchQuery struct {
 	// Source is the template vertex index of the departure vertex.
 	Source int
 	// Targets are template vertex indices whose arrivals the batch must
-	// resolve. The run halts early once every target of every query is
-	// finalized; a query with no targets disables early halting and runs
-	// its source to the end of the window.
+	// resolve. A query with no targets asks for every vertex: it never
+	// retires and runs its source until every vertex is finalized or the
+	// window ends (a single-source TDSP is a batch of one such query).
 	Targets []int
-}
-
-// BatchLabelBatch is a LabelBatch tagged with the batch query it belongs to
-// (the boundary-update payload of a multi-source sweep).
-type BatchLabelBatch struct {
-	Source   int32
-	Vertices []int32
-	Labels   []float64
-}
-
-// BatchVertexSet is a VertexSet tagged with the batch query it belongs to
-// (the per-source finalized set riding the temporal edge).
-type BatchVertexSet struct {
-	Source   int32
-	Vertices []int32
-}
-
-func init() {
-	registerPayload(BatchLabelBatch{})
-	registerPayload(BatchVertexSet{})
 }
 
 // vloc locates a template vertex inside the partitioned view.
@@ -63,15 +39,26 @@ type srcSeed struct {
 	lv int32
 }
 
-// BatchTDSPProgram runs Algorithm 2 for many sources simultaneously over
-// ONE sequentially dependent TI-BSP sweep: per-source label/finalized state
-// is kept side by side (flattened [source][vertex] arrays per partition),
-// messages are tagged with their source, and each timestep's ModifiedSSSP
-// runs once per source with roots. The per-timestep fixed costs — instance
-// load, superstep barriers, engine setup — are paid once for the whole
-// batch, which is what makes micro-batched serving (internal/serve) win
-// over one sweep per query. Arrivals are identical to running TDSPProgram
-// once per source with the same departure timestep.
+// BatchTDSPProgram implements Algorithm 2 of the paper, discrete-time
+// Time-Dependent Shortest Path over a sequentially dependent TI-BSP run,
+// for a batch of sources at once. Each timestep runs a horizon-capped SSSP
+// per source over that instance's edge latencies; vertices reached within
+// the current interval are finalized and become, via the uni-directional
+// temporal ("idling") edges, the seeds of the next timestep at label
+// timestep·δ. Per-source label/finalized state is kept side by side
+// (flattened [source][vertex] arrays per partition) and messages carry
+// their source, so the per-timestep fixed costs — instance load, superstep
+// barriers, engine setup — are paid once for the whole batch, which is
+// what makes micro-batched serving (internal/serve) win over one sweep per
+// query. A single-source run is a batch of one query without targets.
+//
+// BatchTDSPProgram deliberately does NOT implement core.IncrementalProgram:
+// a subgraph whose edge latencies are unchanged still does new work every
+// timestep, because the horizon (ts+1)·δ grows — previously out-of-reach
+// vertices become reachable over identical latencies, and the finalized
+// frontier re-seeds at the new label timestep·δ. A delta-clean subgraph is
+// therefore not a convergence-clean subgraph, which is exactly the property
+// incremental skipping relies on.
 type BatchTDSPProgram struct {
 	// Queries are the batch members; sources must be distinct.
 	Queries []BatchQuery
@@ -96,12 +83,12 @@ type BatchTDSPProgram struct {
 	// srcLocal lists, per partition, the batch sources it owns.
 	srcLocal map[int][]srcSeed
 	// targetsOf maps, per partition, a local vertex to the query indices
-	// probing it (for the targets-finalized counter).
+	// probing it (for the finalized counter).
 	targetsOf map[int]map[int32][]int32
 	// loc locates every source and target vertex named by the batch.
 	loc map[int]vloc
 	// remaining counts each query's unresolved targets; -1 marks a query
-	// with no targets (it runs the window out). A query whose count reaches
+	// with no targets (it never retires). A query whose count reaches
 	// zero is retired: from the next timestep on it is skipped entirely, so
 	// a resolved batch member stops paying sweep work just like a
 	// single-query run halting early. Decremented under EndOfTimestep (any
@@ -215,23 +202,6 @@ func NewBatchTDSP(parts []*subgraph.PartitionData, queries []BatchQuery, depart 
 	return p, nil
 }
 
-// edgeWeightFn builds the per-instance edge-weight closure shared by the
-// TDSP variants: weightAttr travel times with optional existsAttr gating.
-func edgeWeightFn(ctx *core.Context, sg *subgraph.Subgraph, weightAttr, existsAttr string) func(int) float64 {
-	col := ctx.Instance().EdgeFloats(ctx.Template(), weightAttr)
-	if col == nil {
-		panic(fmt.Sprintf("algorithms: template lacks float edge attribute %q", weightAttr))
-	}
-	eg := sg.Part.EdgeGlobal
-	exists := existsFn(ctx, existsAttr)
-	return func(e int) float64 {
-		if !exists(int(eg[e])) {
-			return skipEdge
-		}
-		return col[eg[e]]
-	}
-}
-
 // Compute implements core.Program: Alg 2 lines 1–25, once per batch member,
 // over shared supersteps.
 func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
@@ -240,7 +210,15 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 	labels := p.labels[pd.PID]
 	final := p.final[pd.PID]
 	horizon := float64(timestep+1) * p.Delta
-	rootsBySrc := make(map[int][]int32)
+	// roots[si] are query si's Dijkstra roots; allocated on the first one,
+	// so a subgraph with nothing to expand allocates nothing.
+	var roots [][]int32
+	addRoot := func(si int, lv int32) {
+		if roots == nil {
+			roots = make([][]int32, p.nsrc)
+		}
+		roots[si] = append(roots[si], lv)
+	}
 
 	// Snapshot which queries are still live. Retirement counts only change
 	// under EndOfTimestep, so reading them at superstep 0 — after the
@@ -254,8 +232,8 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 
 	switch {
 	case superstep == 0 && timestep == p.Depart:
-		// First timestep of the window: labels ← ∞, seed each source that
-		// lives in this subgraph at the departure time.
+		// Lines 3–7, first timestep of the window: labels ← ∞, seed each
+		// source that lives in this subgraph at the departure time.
 		for si := 0; si < p.nsrc; si++ {
 			base := si * nv
 			for _, lv := range sg.Verts {
@@ -263,22 +241,17 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 				final[base+int(lv)] = false
 			}
 		}
-		if seeds := p.srcLocal[pd.PID]; len(seeds) > 0 {
-			in := make(map[int32]bool, len(sg.Verts))
-			for _, lv := range sg.Verts {
-				in[lv] = true
-			}
-			depart := float64(p.Depart) * p.Delta
-			for _, s := range seeds {
-				if in[s.lv] {
-					labels[s.si*nv+int(s.lv)] = depart
-					rootsBySrc[s.si] = append(rootsBySrc[s.si], s.lv)
-				}
+		depart := float64(p.Depart) * p.Delta
+		for _, s := range p.srcLocal[pd.PID] {
+			if int(pd.SubgraphOf[s.lv]) == sg.SID.Index() {
+				labels[s.si*nv+int(s.lv)] = depart
+				addRoot(s.si, s.lv)
 			}
 		}
 	case superstep == 0:
-		// Rebuild each live source's state from its temporal message: the
-		// finalized set re-seeds at timestep·δ via the idling edges.
+		// Lines 8–11: rebuild each live source's state from its temporal
+		// message: the finalized set re-seeds at timestep·δ via the idling
+		// edges; all other labels are discarded (edge values changed).
 		// Retired queries are skipped wholesale — no rebuild, no re-seed,
 		// no expansion — which is what keeps a batch member's cost
 		// proportional to its own resolution time, not the batch's.
@@ -294,7 +267,7 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 		}
 		seed := float64(timestep) * p.Delta
 		for _, m := range msgs {
-			f := m.Payload.(BatchVertexSet)
+			f := m.Payload.(VertexSet)
 			if !act[int(f.Source)] {
 				continue
 			}
@@ -302,13 +275,13 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 			for _, lv := range f.Vertices {
 				labels[base+int(lv)] = seed
 				final[base+int(lv)] = true
-				rootsBySrc[int(f.Source)] = append(rootsBySrc[int(f.Source)], lv)
+				addRoot(int(f.Source), lv)
 			}
 		}
 	default:
-		// Boundary updates from other subgraphs, per source.
+		// Lines 13–18: boundary updates from other subgraphs, per source.
 		for _, m := range msgs {
-			b := m.Payload.(BatchLabelBatch)
+			b := m.Payload.(LabelBatch)
 			if !act[int(b.Source)] {
 				continue
 			}
@@ -320,60 +293,30 @@ func (p *BatchTDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, tim
 				}
 				if b.Labels[i] < labels[idx] {
 					labels[idx] = b.Labels[i]
-					rootsBySrc[int(b.Source)] = append(rootsBySrc[int(b.Source)], lv)
+					addRoot(int(b.Source), lv)
 				}
 			}
 		}
 	}
 
-	if len(rootsBySrc) > 0 {
+	if roots != nil {
 		weight := edgeWeightFn(ctx, sg, p.WeightAttr, p.ExistsAttr)
-		sis := make([]int, 0, len(rootsBySrc))
-		for si := range rootsBySrc {
-			sis = append(sis, si)
-		}
-		sort.Ints(sis)
-		for _, si := range sis {
+		for si, r := range roots {
+			if len(r) == 0 {
+				continue
+			}
 			base := si * nv
-			remote := modifiedSSSP(sg, labels[base:base+nv], final[base:base+nv], rootsBySrc[si], horizon, weight)
-			sendTaggedBatches(ctx.SendTo, int32(si), remote)
+			remote := modifiedSSSP(sg, labels[base:base+nv], final[base:base+nv], r, horizon, weight)
+			sendBatches(ctx.SendTo, int32(si), remote)
 		}
 	}
 	ctx.VoteToHalt()
 }
 
-// sendTaggedBatches is sendBatches with a source tag: one sorted
-// BatchLabelBatch per destination subgraph, deterministic emission order.
-func sendTaggedBatches(send func(dst subgraph.ID, payload any), si int32, remote map[remoteKey]remoteCand) {
-	batches := batchRemote(remote)
-	dsts := make([]subgraph.ID, 0, len(batches))
-	for dst := range batches {
-		dsts = append(dsts, dst)
-	}
-	sort.Slice(dsts, func(i, j int) bool { return dsts[i] < dsts[j] })
-	for _, dst := range dsts {
-		b := batches[dst]
-		order := make([]int, len(b.Vertices))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool { return b.Vertices[order[i]] < b.Vertices[order[j]] })
-		sorted := BatchLabelBatch{
-			Source:   si,
-			Vertices: make([]int32, len(order)),
-			Labels:   make([]float64, len(order)),
-		}
-		for i, o := range order {
-			sorted.Vertices[i] = b.Vertices[o]
-			sorted.Labels[i] = b.Labels[o]
-		}
-		send(dst, sorted)
-	}
-}
-
 // EndOfTimestep implements Alg 2 lines 26–31 per batch member: finalize
-// newly reached vertices, count resolved targets, and pass each source's
-// finalized set along the temporal edge.
+// newly reached vertices, count them toward the halt (every vertex for a
+// query without targets, only its targets otherwise), and pass each
+// source's finalized set along the temporal edge.
 func (p *BatchTDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subgraph, timestep int) {
 	pd := sg.Part
 	nv := pd.NumVertices()
@@ -383,45 +326,84 @@ func (p *BatchTDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subg
 	at := p.finalAt[pd.PID]
 	targets := p.targetsOf[pd.PID]
 
-	var targetsDone int64
-	allFinal := true
+	var done int64
 	act := p.activeOf(sg)
 	for si := 0; si < p.nsrc; si++ {
 		if !act[si] {
 			continue // retired this timestep or earlier: state is frozen
 		}
+		everyVertex := len(p.Queries[si].Targets) == 0
 		base := si * nv
+		var all []int32
 		for _, lv := range sg.Verts {
 			idx := base + int(lv)
 			if !final[idx] && labels[idx] != Inf {
 				final[idx] = true
 				arrival[idx] = labels[idx]
 				at[idx] = int32(timestep)
+				if everyVertex {
+					done++
+				}
 				for _, tsi := range targets[lv] {
 					if int(tsi) == si {
-						targetsDone++
+						done++
 						p.remaining[si].Add(-1)
 					}
 				}
 			}
-		}
-		var all []int32
-		for _, lv := range sg.Verts {
-			if final[base+int(lv)] {
+			if final[idx] {
 				all = append(all, lv)
 			}
 		}
 		if len(all) > 0 {
-			ctx.SendToNextTimestep(BatchVertexSet{Source: int32(si), Vertices: all})
-		}
-		if len(all) != sg.NumVertices() {
-			allFinal = false
+			ctx.SendToNextTimestep(VertexSet{Source: int32(si), Vertices: all})
 		}
 	}
-	ctx.AddCounter(CounterTargetsDone, targetsDone)
-	if allFinal {
-		ctx.VoteToHaltTimestep()
+	ctx.AddCounter(CounterFinalized, done)
+}
+
+// tdspCheckpoint is the gob payload of a TDSP checkpoint: the accumulators
+// that outlive a timestep. Labels and the live-query snapshot are rebuilt
+// at superstep 0 and need no persistence.
+type tdspCheckpoint struct {
+	Final     [][]bool
+	Arrival   [][]float64
+	FinalAt   [][]int32
+	Remaining []int32
+}
+
+// CheckpointState implements core.Checkpointer.
+func (p *BatchTDSPProgram) CheckpointState() ([]byte, error) {
+	st := tdspCheckpoint{Final: p.final, Arrival: p.finalArrival, FinalAt: p.finalAt, Remaining: make([]int32, p.nsrc)}
+	for si := range st.Remaining {
+		st.Remaining[si] = p.remaining[si].Load()
 	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// RestoreCheckpoint implements core.Checkpointer. A checkpoint taken by a
+// program of another shape (query count, partition count or any
+// partition's size) is refused.
+func (p *BatchTDSPProgram) RestoreCheckpoint(data []byte) error {
+	var st tdspCheckpoint
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		return fmt.Errorf("algorithms: tdsp restore: %w", err)
+	}
+	if len(st.Remaining) != p.nsrc {
+		return fmt.Errorf("algorithms: tdsp restore: checkpoint has %d queries, program has %d", len(st.Remaining), p.nsrc)
+	}
+	if !sameShape(st.Final, p.final) || !sameShape(st.Arrival, p.finalArrival) || !sameShape(st.FinalAt, p.finalAt) {
+		return fmt.Errorf("algorithms: tdsp restore: checkpoint partitions do not match the program's")
+	}
+	p.final, p.finalArrival, p.finalAt = st.Final, st.Arrival, st.FinalAt
+	for si, r := range st.Remaining {
+		p.remaining[si].Store(r)
+	}
+	return nil
 }
 
 // Arrival returns query si's earliest arrival at a template vertex index
@@ -441,19 +423,18 @@ func (p *BatchTDSPProgram) Arrival(si int, vertex int) (arrival float64, timeste
 	return p.finalArrival[l.pid][idx], int(p.finalAt[l.pid][idx]), true
 }
 
-// ArrivalsOf gathers query si's finalized arrivals into a template-indexed
-// array (Inf when unreached), mirroring TDSPProgram.Arrivals. For a query
-// with targets, the array reflects the timesteps processed before the query
-// retired (all targets resolved); arrivals at the named targets themselves
-// are always exact.
+// ArrivalsOf gathers query si's finalized arrivals over parts into a
+// template-indexed array (Inf when unreached). For a query with targets,
+// the array reflects the timesteps processed before the query retired (all
+// targets resolved); arrivals at the named targets themselves are always
+// exact.
 func (p *BatchTDSPProgram) ArrivalsOf(si int, parts []*subgraph.PartitionData, t *graph.Template) []float64 {
 	out := make([]float64, t.NumVertices())
 	for i := range out {
 		out[i] = Inf
 	}
 	for _, pd := range parts {
-		nv := pd.NumVertices()
-		base := si * nv
+		base := si * pd.NumVertices()
 		for lv, g := range pd.GlobalIdx {
 			if p.final[pd.PID][base+lv] {
 				out[g] = p.finalArrival[pd.PID][base+lv]
@@ -463,16 +444,51 @@ func (p *BatchTDSPProgram) ArrivalsOf(si int, parts []*subgraph.PartitionData, t
 	return out
 }
 
+// Outputs derives query si's TDSPResult records over parts from the
+// finalized state, one per finalized vertex, in the order a run keeps its
+// Outputs: by timestep, then subgraph (in parts order), then ascending
+// local vertex. Deriving them after the run keeps the sweep itself free of
+// per-vertex output records.
+func (p *BatchTDSPProgram) Outputs(si int, parts []*subgraph.PartitionData, t *graph.Template) []core.Output {
+	byStep := make(map[int][]core.Output)
+	for _, pd := range parts {
+		base := si * pd.NumVertices()
+		for _, sg := range pd.Subgraphs {
+			for _, lv := range sg.Verts { // ascending
+				idx := base + int(lv)
+				if !p.final[pd.PID][idx] {
+					continue
+				}
+				ts := int(p.finalAt[pd.PID][idx])
+				byStep[ts] = append(byStep[ts], core.Output{Timestep: ts, From: sg.SID, Data: TDSPResult{
+					Vertex:   t.VertexID(int(pd.GlobalIdx[lv])),
+					Timestep: ts,
+					Arrival:  p.finalArrival[pd.PID][idx],
+				}})
+			}
+		}
+	}
+	steps := make([]int, 0, len(byStep))
+	for ts := range byStep {
+		steps = append(steps, ts)
+	}
+	sort.Ints(steps)
+	var out []core.Output
+	for _, ts := range steps {
+		out = append(out, byStep[ts]...)
+	}
+	return out
+}
+
 // RunBatchTDSP sweeps the instance window [depart, end) once, resolving
-// every query of the batch. When every query names targets and the run has
-// no coordinator, it halts as soon as all of them are finalized
-// (Master-style global termination on CounterTargetsDone); otherwise it
-// runs until the program's VoteToHaltTimestep consensus or the window's
-// end. A distributed member's timestep record covers only its own
-// partitions, so members would disagree about the target count and
-// deadlock the barrier; the consensus gives the same early exit, and
-// targets are finalized before their source retires, so answers are
-// unchanged. mesh places the run on one member of a distributed group (nil:
+// every query of the batch. When the run has no coordinator it halts as
+// soon as everything the batch asks for is finalized: CounterFinalized
+// summed over partitions reaches Σ_q len(q.Targets), with a query without
+// targets counting every template vertex (Master-style global
+// termination). A distributed member's timestep record covers only its
+// own partitions, so members would disagree about that total and deadlock
+// the barrier; a meshed sweep therefore runs the window out, with the same
+// answers. mesh places the run on one member of a distributed group (nil:
 // this process runs every partition). The returned program answers
 // Arrival lookups.
 func RunBatchTDSP(
@@ -504,24 +520,23 @@ func RunBatchTDSP(
 		Tracer:        tracer,
 	}
 	mesh.place(job)
-	wantTargets := int64(0)
-	allHaveTargets := true
-	for _, q := range queries {
-		if len(q.Targets) == 0 {
-			allHaveTargets = false
+	if job.Coordinator == nil {
+		var want, done int64
+		for _, q := range prog.Queries {
+			if len(q.Targets) == 0 {
+				want += int64(t.NumVertices())
+			} else {
+				want += int64(len(q.Targets))
+			}
 		}
-		wantTargets += int64(len(q.Targets))
-	}
-	if allHaveTargets && job.Coordinator == nil {
-		var done int64
 		job.HaltCondition = func(ts int, tr *metrics.TimestepRecord) bool {
 			if tr == nil {
 				return false
 			}
 			for i := range tr.Parts {
-				done += tr.Parts[i].Counters[CounterTargetsDone]
+				done += tr.Parts[i].Counters[CounterFinalized]
 			}
-			return done >= wantTargets
+			return done >= want
 		}
 	}
 	res, err := mesh.run(job)

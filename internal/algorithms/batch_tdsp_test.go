@@ -8,6 +8,7 @@ import (
 	"tsgraph/internal/core"
 	"tsgraph/internal/gen"
 	"tsgraph/internal/metrics"
+	"tsgraph/internal/subgraph"
 )
 
 func TestBatchTDSPMatchesSingleSourceRuns(t *testing.T) {
@@ -21,23 +22,14 @@ func TestBatchTDSPMatchesSingleSourceRuns(t *testing.T) {
 	sources := []int{0, 17, 40, 63}
 	queries := make([]BatchQuery, len(sources))
 	for i, s := range sources {
-		queries[i] = BatchQuery{Source: s} // no targets: run the window out
+		queries[i] = BatchQuery{Source: s} // no targets: every vertex
 	}
 	prog, _, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for si, s := range sources {
-		want, _, err := RunTDSP(g, parts, s, src, 60, gen.AttrLatency, bsp.Config{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := prog.ArrivalsOf(si, parts, g)
-		for v := range want {
-			if want[v] != got[v] && !(math.IsInf(want[v], 1) && math.IsInf(got[v], 1)) {
-				t.Fatalf("source %d vertex %d: batch arrival %v, single-source arrival %v", s, v, got[v], want[v])
-			}
-		}
+		requireArrivals(t, refTDSP(c, s, gen.AttrLatency, 60), prog.ArrivalsOf(si, parts, g))
 	}
 }
 
@@ -132,4 +124,79 @@ func TestBatchTDSPValidation(t *testing.T) {
 	if _, err := NewBatchTDSP(parts, []BatchQuery{{Source: 99}}, 0, 60, gen.AttrLatency); err == nil {
 		t.Error("out-of-range source accepted")
 	}
+}
+
+// TestCheckpointRestoreRejectsWrongShape restores checkpoints into programs
+// of another shape: each restore must fail with an error instead of
+// installing state that later reads index out of range.
+func TestCheckpointRestoreRejectsWrongShape(t *testing.T) {
+	small := gen.RoadNetwork(gen.RoadConfig{Rows: 8, Cols: 8, Seed: 1})
+	big := gen.RoadNetwork(gen.RoadConfig{Rows: 10, Cols: 10, Seed: 1})
+	smallParts, bigParts := buildParts(t, small, 4), buildParts(t, big, 4)
+	tdsp := func(parts []*subgraph.PartitionData, sources ...int) core.Checkpointer {
+		queries := make([]BatchQuery, len(sources))
+		for i, s := range sources {
+			queries[i] = BatchQuery{Source: s}
+		}
+		p, err := NewBatchTDSP(parts, queries, 0, 60, gen.AttrLatency)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for _, tc := range []struct {
+		name       string
+		from, into core.Checkpointer
+	}{
+		{"tdsp vertex counts", tdsp(smallParts, 0), tdsp(bigParts, 0)},
+		{"tdsp query count", tdsp(smallParts, 0, 1), tdsp(smallParts, 0)},
+		{"tdsp partition count", tdsp(buildParts(t, small, 3), 0), tdsp(smallParts, 0)},
+		{"meme vertex counts", NewMeme(smallParts, "#m", gen.AttrTweets), NewMeme(bigParts, "#m", gen.AttrTweets)},
+	} {
+		data, err := tc.from.CheckpointState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.into.RestoreCheckpoint(data); err == nil {
+			t.Errorf("%s: a checkpoint of another shape was restored", tc.name)
+		}
+		if err := tc.from.RestoreCheckpoint(data); err != nil {
+			t.Errorf("%s: own checkpoint refused: %v", tc.name, err)
+		}
+	}
+}
+
+// FuzzCheckpointRestore feeds arbitrary bytes to the TDSP and meme
+// programs' RestoreCheckpoint: a restore either fails with an error or
+// installs state every reader can index.
+func FuzzCheckpointRestore(f *testing.F) {
+	g := gen.RoadNetwork(gen.RoadConfig{Rows: 3, Cols: 3, Seed: 1})
+	parts := buildParts(f, g, 2)
+	newTDSP := func() *BatchTDSPProgram {
+		p, err := NewBatchTDSP(parts, []BatchQuery{{Source: 0}, {Source: 4, Targets: []int{8}}}, 0, 60, gen.AttrLatency)
+		if err != nil {
+			f.Fatal(err)
+		}
+		return p
+	}
+	for _, cp := range []core.Checkpointer{newTDSP(), NewMeme(parts, "#m", gen.AttrTweets)} {
+		data, err := cp.CheckpointState()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if p := newTDSP(); p.RestoreCheckpoint(data) == nil {
+			for si := range p.Queries {
+				p.ArrivalsOf(si, parts, g)
+				p.Outputs(si, parts, g)
+				p.Arrival(si, 8)
+			}
+		}
+		if m := NewMeme(parts, "#m", gen.AttrTweets); m.RestoreCheckpoint(data) == nil {
+			m.ColoredAt(parts, g)
+		}
+	})
 }

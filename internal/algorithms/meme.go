@@ -245,14 +245,16 @@ func (p *MemeProgram) CheckpointState() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// RestoreCheckpoint implements core.Checkpointer.
+// RestoreCheckpoint implements core.Checkpointer. A checkpoint taken by a
+// program of another shape (partition count or any partition's size) is
+// refused.
 func (p *MemeProgram) RestoreCheckpoint(data []byte) error {
 	var st memeCheckpoint
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("algorithms: meme restore: %w", err)
 	}
-	if len(st.Colored) != len(p.colored) || len(st.ColoredAt) != len(p.coloredAt) {
-		return fmt.Errorf("algorithms: meme restore: checkpoint has %d partitions, program has %d", len(st.Colored), len(p.colored))
+	if !sameShape(st.Colored, p.colored) || !sameShape(st.ColoredAt, p.coloredAt) {
+		return fmt.Errorf("algorithms: meme restore: checkpoint partitions do not match the program's")
 	}
 	p.colored, p.coloredAt = st.Colored, st.ColoredAt
 	return nil

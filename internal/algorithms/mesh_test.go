@@ -61,7 +61,7 @@ func TestMeshFailedSweepLeavesNoFrames(t *testing.T) {
 	}
 
 	sg := parts[len(parts)-1].Subgraphs[0]
-	stale := BatchLabelBatch{Source: 0, Vertices: sg.Verts, Labels: make([]float64, len(sg.Verts))}
+	stale := LabelBatch{Source: 0, Vertices: sg.Verts, Labels: make([]float64, len(sg.Verts))}
 	node := &loneNode{failNext: true, frame: []bsp.Message{{To: sg.SID, Payload: stale}}}
 	mesh := NewMesh(parts, node, bsp.Config{})
 	if _, _, err := RunBatchTDSP(g, parts, queries, 0, src, 60, gen.AttrLatency, bsp.Config{}, nil, nil, mesh); err == nil {

@@ -190,7 +190,11 @@ func TestIsExistsEdgeAppears(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog := NewTDSP(parts, g.VertexIndex(0), delta, gen.AttrLatency)
+	single := []BatchQuery{{Source: g.VertexIndex(0)}}
+	prog, err := NewBatchTDSP(parts, single, 0, delta, gen.AttrLatency)
+	if err != nil {
+		t.Fatal(err)
+	}
 	prog.ExistsAttr = "exists"
 	res, err := core.Run(&core.Job{
 		Template: g, Parts: parts,
@@ -201,7 +205,7 @@ func TestIsExistsEdgeAppears(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = res
-	arr := prog.Arrivals(parts, g)
+	arr := prog.ArrivalsOf(0, parts, g)
 	if arr[g.VertexIndex(1)] != 2 {
 		t.Errorf("vertex 1 arrival %v, want 2", arr[g.VertexIndex(1)])
 	}
@@ -215,7 +219,10 @@ func TestIsExistsEdgeAppears(t *testing.T) {
 	}
 
 	// Without honoring isExists the greedy traversal would cross at t=2.
-	naive := NewTDSP(parts, g.VertexIndex(0), delta, gen.AttrLatency)
+	naive, err := NewBatchTDSP(parts, single, 0, delta, gen.AttrLatency)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := core.Run(&core.Job{
 		Template: g, Parts: parts,
 		Source:  core.MemorySource{C: c},
@@ -223,7 +230,7 @@ func TestIsExistsEdgeAppears(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	wrong := naive.Arrivals(parts, g)
+	wrong := naive.ArrivalsOf(0, parts, g)
 	if wrong[g.VertexIndex(2)] != 4 {
 		t.Errorf("ignoring isExists should cross immediately (got %v)", wrong[g.VertexIndex(2)])
 	}

@@ -25,13 +25,20 @@ var Inf = math.Inf(1)
 // subgraph's partition, identified by partition-local index. It is the
 // boundary-update payload of SSSP-style traversals.
 type LabelBatch struct {
+	// Source tags the batch query the labels belong to (multi-source TDSP;
+	// zero otherwise, which gob does not put on the wire).
+	Source   int32
 	Vertices []int32
 	Labels   []float64
 }
 
 // VertexSet carries partition-local vertex indices of the destination
-// subgraph's partition (meme notifications, colored sets).
+// subgraph's partition (meme notifications, colored sets, a TDSP query's
+// finalized set).
 type VertexSet struct {
+	// Source tags the batch query the set belongs to (multi-source TDSP;
+	// zero otherwise).
+	Source   int32
 	Vertices []int32
 }
 
@@ -73,6 +80,20 @@ func maxPID(parts []*subgraph.PartitionData) int {
 		}
 	}
 	return m
+}
+
+// sameShape reports whether got has want's partition count and
+// per-partition lengths (a checkpoint restore's shape check).
+func sameShape[T any](got, want [][]T) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // masterSubgraph picks the paper's aggregation target: the largest subgraph

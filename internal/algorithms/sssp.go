@@ -10,10 +10,10 @@ import (
 	"tsgraph/internal/subgraph"
 )
 
-// sendBatches emits one LabelBatch message per destination subgraph, in
-// deterministic order (sorted destinations, sorted vertices within each
-// batch).
-func sendBatches(send func(dst subgraph.ID, payload any), remote map[remoteKey]remoteCand) {
+// sendBatches emits one LabelBatch tagged with source si per destination
+// subgraph, in deterministic order (sorted destinations, sorted vertices
+// within each batch).
+func sendBatches(send func(dst subgraph.ID, payload any), si int32, remote map[remoteKey]remoteCand) {
 	batches := batchRemote(remote)
 	dsts := make([]subgraph.ID, 0, len(batches))
 	for dst := range batches {
@@ -27,7 +27,8 @@ func sendBatches(send func(dst subgraph.ID, payload any), remote map[remoteKey]r
 			order[i] = i
 		}
 		sort.Slice(order, func(i, j int) bool { return b.Vertices[order[i]] < b.Vertices[order[j]] })
-		sorted := &LabelBatch{
+		sorted := LabelBatch{
+			Source:   si,
 			Vertices: make([]int32, len(order)),
 			Labels:   make([]float64, len(order)),
 		}
@@ -35,7 +36,7 @@ func sendBatches(send func(dst subgraph.ID, payload any), remote map[remoteKey]r
 			sorted.Vertices[i] = b.Vertices[o]
 			sorted.Labels[i] = b.Labels[o]
 		}
-		send(dst, *sorted)
+		send(dst, sorted)
 	}
 }
 
@@ -70,12 +71,13 @@ func NewSSSP(parts []*subgraph.PartitionData, source int, weightAttr string) *SS
 	return p
 }
 
-// weightFn builds the local-edge weight function for the current instance,
-// honoring the optional isExists attribute.
-func (p *SSSPProgram) weightFn(ctx *core.Context, sg *subgraph.Subgraph) func(int) float64 {
+// edgeWeightFn builds the per-instance edge-weight closure of the
+// traversals: weightAttr travel times (every edge 1 when weightAttr is
+// empty, i.e. BFS) with optional existsAttr gating.
+func edgeWeightFn(ctx *core.Context, sg *subgraph.Subgraph, weightAttr, existsAttr string) func(int) float64 {
 	eg := sg.Part.EdgeGlobal
-	exists := existsFn(ctx, p.ExistsAttr)
-	if p.WeightAttr == "" {
+	exists := existsFn(ctx, existsAttr)
+	if weightAttr == "" {
 		return func(e int) float64 {
 			if !exists(int(eg[e])) {
 				return skipEdge
@@ -83,9 +85,9 @@ func (p *SSSPProgram) weightFn(ctx *core.Context, sg *subgraph.Subgraph) func(in
 			return 1
 		}
 	}
-	col := ctx.Instance().EdgeFloats(ctx.Template(), p.WeightAttr)
+	col := ctx.Instance().EdgeFloats(ctx.Template(), weightAttr)
 	if col == nil {
-		panic(fmt.Sprintf("algorithms: template lacks float edge attribute %q", p.WeightAttr))
+		panic(fmt.Sprintf("algorithms: template lacks float edge attribute %q", weightAttr))
 	}
 	return func(e int) float64 {
 		if !exists(int(eg[e])) {
@@ -144,8 +146,8 @@ func (p *SSSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep
 	}
 
 	if len(roots) > 0 {
-		remote := modifiedSSSP(sg, labels, nil, roots, Inf, p.weightFn(ctx, sg))
-		sendBatches(ctx.SendTo, remote)
+		remote := modifiedSSSP(sg, labels, nil, roots, Inf, edgeWeightFn(ctx, sg, p.WeightAttr, p.ExistsAttr))
+		sendBatches(ctx.SendTo, 0, remote)
 	}
 	ctx.VoteToHalt()
 }

@@ -1,11 +1,6 @@
 package algorithms
 
 import (
-	"bytes"
-	"encoding/gob"
-	"fmt"
-	"sort"
-
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
 	"tsgraph/internal/graph"
@@ -14,8 +9,10 @@ import (
 )
 
 // CounterFinalized is the per-partition metric TDSP accumulates: the number
-// of vertices whose time-dependent shortest path was finalized in a
-// timestep (the paper's Fig 7a).
+// of (query, target) pairs finalized in a timestep, where a query without
+// targets counts every vertex it finalizes. For a single-source run it is
+// the number of vertices whose time-dependent shortest path was finalized
+// (the paper's Fig 7a).
 const CounterFinalized = "finalized"
 
 // TDSPResult is one finalized vertex: the earliest time it can be reached
@@ -26,226 +23,11 @@ type TDSPResult struct {
 	Arrival  float64
 }
 
-// TDSPProgram implements Algorithm 2 of the paper: discrete-time
-// Time-Dependent Shortest Path over a sequentially dependent TI-BSP run.
-// Each timestep runs a horizon-capped SSSP over that instance's edge
-// latencies; vertices reached within the current interval are finalized and
-// become, via the uni-directional temporal ("idling") edges, the seeds of
-// the next timestep at label timestep·δ.
-//
-// TDSPProgram deliberately does NOT implement core.IncrementalProgram: a
-// subgraph whose edge latencies are unchanged still does new work every
-// timestep, because the horizon (ts+1)·δ grows — previously out-of-reach
-// vertices become reachable over identical latencies, and the finalized
-// frontier re-seeds at the new label timestep·δ. A delta-clean subgraph is
-// therefore not a convergence-clean subgraph, which is exactly the property
-// incremental skipping relies on.
-type TDSPProgram struct {
-	// Source is the template vertex index of the source s.
-	Source int
-	// Delta is the instance period δ; the timestep-ts horizon is (ts+1)·δ.
-	Delta float64
-	// WeightAttr names the float edge attribute carrying travel times.
-	WeightAttr string
-	// ExistsAttr optionally names a bool edge attribute (the paper's
-	// isExists); edges absent in an instance cannot be traversed during
-	// that interval.
-	ExistsAttr string
-
-	// Per-partition state, written only by the owning subgraph's Compute.
-	labels [][]float64
-	final  [][]bool
-	// roots accumulated at superstep 0 for reseeding from the temporal
-	// message within the timestep.
-	finalArrival [][]float64 // recorded arrival time per finalized vertex
-}
-
-// NewTDSP builds a TDSP program over partitioned data.
-func NewTDSP(parts []*subgraph.PartitionData, source int, delta float64, weightAttr string) *TDSPProgram {
-	p := &TDSPProgram{Source: source, Delta: delta, WeightAttr: weightAttr}
-	n := maxPID(parts)
-	p.labels = make([][]float64, n)
-	p.final = make([][]bool, n)
-	p.finalArrival = make([][]float64, n)
-	for _, pd := range parts {
-		p.labels[pd.PID] = make([]float64, pd.NumVertices())
-		p.final[pd.PID] = make([]bool, pd.NumVertices())
-		p.finalArrival[pd.PID] = make([]float64, pd.NumVertices())
-	}
-	return p
-}
-
-func (p *TDSPProgram) weightFn(ctx *core.Context, sg *subgraph.Subgraph) func(int) float64 {
-	col := ctx.Instance().EdgeFloats(ctx.Template(), p.WeightAttr)
-	if col == nil {
-		panic(fmt.Sprintf("algorithms: template lacks float edge attribute %q", p.WeightAttr))
-	}
-	eg := sg.Part.EdgeGlobal
-	exists := existsFn(ctx, p.ExistsAttr)
-	return func(e int) float64 {
-		if !exists(int(eg[e])) {
-			return skipEdge
-		}
-		return col[eg[e]]
-	}
-}
-
-// Compute implements core.Program (Alg 2, lines 1–25).
-func (p *TDSPProgram) Compute(ctx *core.Context, sg *subgraph.Subgraph, timestep, superstep int, msgs []bsp.Message) {
-	pd := sg.Part
-	labels := p.labels[pd.PID]
-	final := p.final[pd.PID]
-	horizon := float64(timestep+1) * p.Delta
-	var roots []int32
-
-	switch {
-	case superstep == 0 && timestep == 0:
-		// Lines 3–7: labels ← ∞; seed the source.
-		for _, lv := range sg.Verts {
-			labels[lv] = Inf
-			final[lv] = false
-		}
-		for _, lv := range sg.Verts {
-			if int(pd.GlobalIdx[lv]) == p.Source {
-				labels[lv] = 0
-				roots = append(roots, lv)
-				break
-			}
-		}
-	case superstep == 0:
-		// Lines 8–11: rebuild the timestep's state from the temporal
-		// message: F = finalized set, seeded at timestep·δ by the idling
-		// edges; all other labels are discarded (edge values changed).
-		for _, lv := range sg.Verts {
-			labels[lv] = Inf
-			final[lv] = false
-		}
-		seed := float64(timestep) * p.Delta
-		for _, m := range msgs {
-			f := m.Payload.(VertexSet)
-			for _, lv := range f.Vertices {
-				labels[lv] = seed
-				final[lv] = true
-				roots = append(roots, lv)
-			}
-		}
-	default:
-		// Lines 13–18: boundary updates from other subgraphs.
-		for _, m := range msgs {
-			b := m.Payload.(LabelBatch)
-			for i, lv := range b.Vertices {
-				if final[lv] {
-					continue
-				}
-				if b.Labels[i] < labels[lv] {
-					labels[lv] = b.Labels[i]
-					roots = append(roots, lv)
-				}
-			}
-		}
-	}
-
-	if len(roots) > 0 {
-		remote := modifiedSSSP(sg, labels, final, roots, horizon, p.weightFn(ctx, sg))
-		sendBatches(ctx.SendTo, remote)
-	}
-	ctx.VoteToHalt()
-}
-
-// EndOfTimestep implements Alg 2 lines 26–31: finalize newly reached
-// vertices, emit their TDSP values, and pass the full finalized set along
-// the temporal edge.
-func (p *TDSPProgram) EndOfTimestep(ctx *core.EndContext, sg *subgraph.Subgraph, timestep int) {
-	pd := sg.Part
-	labels := p.labels[pd.PID]
-	final := p.final[pd.PID]
-	arrival := p.finalArrival[pd.PID]
-
-	var newly []int32
-	for _, lv := range sg.Verts {
-		if !final[lv] && labels[lv] != Inf {
-			final[lv] = true
-			arrival[lv] = labels[lv]
-			newly = append(newly, lv)
-		}
-	}
-	sort.Slice(newly, func(i, j int) bool { return newly[i] < newly[j] })
-	ctx.AddCounter(CounterFinalized, int64(len(newly)))
-	for _, lv := range newly {
-		ctx.Output(TDSPResult{
-			Vertex:   ctx.Template().VertexID(int(pd.GlobalIdx[lv])),
-			Timestep: timestep,
-			Arrival:  arrival[lv],
-		})
-	}
-
-	// F ← F ∪ F_timestep; send to next timestep.
-	var all []int32
-	for _, lv := range sg.Verts {
-		if final[lv] {
-			all = append(all, lv)
-		}
-	}
-	if len(all) > 0 {
-		ctx.SendToNextTimestep(VertexSet{Vertices: all})
-	}
-	if len(all) == sg.NumVertices() {
-		// Everything here is finalized; if every subgraph agrees the
-		// application can stop early.
-		ctx.VoteToHaltTimestep()
-	}
-}
-
-// tdspCheckpoint is the gob payload of a TDSP checkpoint: the accumulators
-// that outlive a timestep. Labels are rebuilt from the temporal message at
-// superstep 0 and need no persistence.
-type tdspCheckpoint struct {
-	Final   [][]bool
-	Arrival [][]float64
-}
-
-// CheckpointState implements core.Checkpointer.
-func (p *TDSPProgram) CheckpointState() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tdspCheckpoint{Final: p.final, Arrival: p.finalArrival}); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// RestoreCheckpoint implements core.Checkpointer.
-func (p *TDSPProgram) RestoreCheckpoint(data []byte) error {
-	var st tdspCheckpoint
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
-		return fmt.Errorf("algorithms: tdsp restore: %w", err)
-	}
-	if len(st.Final) != len(p.final) || len(st.Arrival) != len(p.finalArrival) {
-		return fmt.Errorf("algorithms: tdsp restore: checkpoint has %d partitions, program has %d", len(st.Final), len(p.final))
-	}
-	p.final, p.finalArrival = st.Final, st.Arrival
-	return nil
-}
-
-// Arrivals gathers finalized arrival times into a template-indexed array
-// (Inf for vertices never reached within the processed range).
-func (p *TDSPProgram) Arrivals(parts []*subgraph.PartitionData, t *graph.Template) []float64 {
-	out := make([]float64, t.NumVertices())
-	for i := range out {
-		out[i] = Inf
-	}
-	for _, pd := range parts {
-		for lv, g := range pd.GlobalIdx {
-			if p.final[pd.PID][lv] {
-				out[g] = p.finalArrival[pd.PID][lv]
-			}
-		}
-	}
-	return out
-}
-
-// RunTDSP runs TDSP from src over all instances of a source. It stops early
-// once every vertex is finalized (the paper's WIKI run converges in 4 of 50
-// timesteps). Returns template-indexed arrival times plus the run result.
+// RunTDSP runs TDSP from src over all instances of a source, as a batch of
+// one query without targets. It stops early once every vertex is finalized
+// (the paper's WIKI run converges in 4 of 50 timesteps). Returns
+// template-indexed arrival times plus the run result, whose Outputs hold
+// one TDSPResult per finalized vertex.
 func RunTDSP(
 	t *graph.Template,
 	parts []*subgraph.PartitionData,
@@ -256,31 +38,10 @@ func RunTDSP(
 	cfg bsp.Config,
 	rec *metrics.Recorder,
 ) ([]float64, *core.Result, error) {
-	prog := NewTDSP(parts, src, delta, weightAttr)
-	// Master-style global termination: stop once every vertex's TDSP is
-	// finalized (the paper's WIKI run converges after 4 of 50 instances).
-	var finalized int64
-	halt := func(ts int, tr *metrics.TimestepRecord) bool {
-		if tr == nil {
-			return false
-		}
-		for p := range tr.Parts {
-			finalized += tr.Parts[p].Counters[CounterFinalized]
-		}
-		return finalized >= int64(t.NumVertices())
-	}
-	res, err := core.Run(&core.Job{
-		Template:      t,
-		Parts:         parts,
-		Source:        source,
-		Program:       prog,
-		Pattern:       core.SequentiallyDependent,
-		Config:        cfg,
-		Recorder:      rec,
-		HaltCondition: halt,
-	})
+	prog, res, err := RunBatchTDSP(t, parts, []BatchQuery{{Source: src}}, 0, source, delta, weightAttr, cfg, rec, nil, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return prog.Arrivals(parts, t), res, nil
+	res.Outputs = prog.Outputs(0, parts, t)
+	return prog.ArrivalsOf(0, parts, t), res, nil
 }

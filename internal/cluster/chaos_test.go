@@ -50,7 +50,7 @@ func testResilience() *Resilience {
 // runs must reproduce.
 func tdspReference(tb testing.TB, f *distFixture) []float64 {
 	tb.Helper()
-	refProg := algorithms.NewTDSP(f.parts, 0, 20, gen.AttrLatency)
+	refProg := newTDSP(tb, f.parts)
 	if _, err := core.Run(&core.Job{
 		Template: f.tmpl, Parts: f.parts,
 		Source:  core.MemorySource{C: f.coll},
@@ -58,7 +58,7 @@ func tdspReference(tb testing.TB, f *distFixture) []float64 {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	return refProg.Arrivals(f.parts, f.tmpl)
+	return refProg.ArrivalsOf(0, f.parts, f.tmpl)
 }
 
 func requireSameArrivals(tb testing.TB, want, got []float64) {
@@ -260,12 +260,12 @@ func runTDSPRanks(
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for r := 0; r < k; r++ {
+		prog := newTDSP(tb, f.parts)
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			local := f.parts[r : r+1]
 			loader := f.openLoader(tb)
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
 			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
 			nodes[r].Bind(engine)
 			job := &core.Job{
@@ -289,7 +289,7 @@ func runTDSPRanks(
 			if err != nil {
 				return
 			}
-			arr := prog.Arrivals(local, f.tmpl)
+			arr := prog.ArrivalsOf(0, local, f.tmpl)
 			mu.Lock()
 			for _, pd := range local {
 				for _, g := range pd.GlobalIdx {

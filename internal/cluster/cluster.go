@@ -924,7 +924,11 @@ func (n *Node) Close() error {
 		if pc == nil {
 			continue
 		}
-		if err := pc.conn.Close(); err != nil && first == nil {
+		// A reconnect swaps pc.conn under pc.mu; close whichever is current.
+		pc.mu.Lock()
+		err := pc.conn.Close()
+		pc.mu.Unlock()
+		if err != nil && first == nil {
 			first = err
 		}
 	}

@@ -99,6 +99,18 @@ func newDistFixture(tb testing.TB, k int) *distFixture {
 	return &distFixture{tmpl: tmpl, coll: coll, parts: parts, owner: owner}
 }
 
+// newTDSP builds the fixtures' single-source TDSP program (source 0, a
+// batch of one query without targets) over parts, which are every
+// partition; a rank's job runs its own share of them.
+func newTDSP(tb testing.TB, parts []*subgraph.PartitionData) *algorithms.BatchTDSPProgram {
+	tb.Helper()
+	prog, err := algorithms.NewBatchTDSP(parts, []algorithms.BatchQuery{{Source: 0}}, 0, 20, gen.AttrLatency)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return prog
+}
+
 // runDistributedTDSP runs TDSP with one node per partition and returns the
 // merged template-indexed arrivals.
 func runDistributedTDSP(tb testing.TB, f *distFixture, nodes []*Node) []float64 {
@@ -113,11 +125,11 @@ func runDistributedTDSP(tb testing.TB, f *distFixture, nodes []*Node) []float64 
 	errs := make([]error, k)
 	total := subgraph.TotalSubgraphs(f.parts)
 	for r := 0; r < k; r++ {
+		prog := newTDSP(tb, f.parts)
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			local := f.parts[r : r+1]
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
 			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
 			nodes[r].Bind(engine)
 			_, err := core.RunWithEngine(&core.Job{
@@ -135,7 +147,7 @@ func runDistributedTDSP(tb testing.TB, f *distFixture, nodes []*Node) []float64 
 				tb.Logf("node %d error: %v", r, err)
 				return
 			}
-			arr := prog.Arrivals(local, f.tmpl)
+			arr := prog.ArrivalsOf(0, local, f.tmpl)
 			mu.Lock()
 			for _, pd := range local {
 				for _, g := range pd.GlobalIdx {
@@ -160,7 +172,7 @@ func TestDistributedTDSPMatchesSingleProcess(t *testing.T) {
 	nodes := mesh(t, k, f.owner)
 
 	// Single-process reference over the identical parts.
-	refProg := algorithms.NewTDSP(f.parts, 0, 20, gen.AttrLatency)
+	refProg := newTDSP(t, f.parts)
 	if _, err := core.Run(&core.Job{
 		Template: f.tmpl, Parts: f.parts,
 		Source:  core.MemorySource{C: f.coll},
@@ -168,7 +180,7 @@ func TestDistributedTDSPMatchesSingleProcess(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := refProg.Arrivals(f.parts, f.tmpl)
+	want := refProg.ArrivalsOf(0, f.parts, f.tmpl)
 
 	got := runDistributedTDSP(t, f, nodes)
 	for v := range want {

@@ -212,6 +212,13 @@ func (n *Node) reconnect(r int, pc *peerConn, failedGen int64) error {
 	}
 	conn.SetReadDeadline(time.Time{})
 	pc.mu.Lock()
+	if n.isClosed() {
+		// Close has closed (or is about to close) the links under pc.mu;
+		// a connection installed now would outlive the node.
+		pc.mu.Unlock()
+		conn.Close()
+		return net.ErrClosed
+	}
 	old := pc.conn
 	pc.conn, pc.enc = conn, enc
 	for pc.count > 0 && pc.ring[pc.start].Seq <= peerMax {

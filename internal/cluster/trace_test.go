@@ -8,10 +8,8 @@ import (
 	"testing"
 	"time"
 
-	"tsgraph/internal/algorithms"
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/core"
-	"tsgraph/internal/gen"
 	"tsgraph/internal/obs"
 	"tsgraph/internal/subgraph"
 )
@@ -84,11 +82,11 @@ func TestGatherTracesMergesFourRankMesh(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, k)
 	for r := 0; r < k; r++ {
+		prog := newTDSP(t, f.parts)
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
 			local := f.parts[r : r+1]
-			prog := algorithms.NewTDSP(local, 0, 20, gen.AttrLatency)
 			engine := bsp.NewEngineRemote(local, bsp.Config{}, nodes[r])
 			nodes[r].Bind(engine)
 			_, errs[r] = core.RunWithEngine(&core.Job{

@@ -156,13 +156,17 @@ func PackingAblation(ds *Dataset, k int, packs []int, dir string, cfg bsp.Config
 		if err != nil {
 			return nil, err
 		}
+		prog, err := newTDSP(ds, parts)
+		if err != nil {
+			return nil, err
+		}
 		loader := gofs.NewLoader(store)
 		rec := newRecorder(k)
 		job := &core.Job{
 			Template: ds.Template,
 			Parts:    parts,
 			Source:   loader,
-			Program:  algorithms.NewTDSP(parts, ds.SourceVertex, ds.Delta, "latency"),
+			Program:  prog,
 			Pattern:  core.SequentiallyDependent,
 			Config:   cfg,
 			Recorder: rec,

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"tsgraph/internal/algorithms"
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/chaos"
 	"tsgraph/internal/cluster"
@@ -166,11 +165,15 @@ func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN, k int, c
 					local = append(local, pd)
 				}
 			}
-			prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
+			prog, err := newTDSP(ds, parts)
+			if err != nil {
+				errs[r] = err
+				return
+			}
 			engine := bsp.NewEngineRemote(local, cfg, nodes[r])
 			nodes[r].Bind(engine)
 			wallStart := time.Now()
-			_, err := core.RunWithEngine(&core.Job{
+			_, err = core.RunWithEngine(&core.Job{
 				Template:        ds.Template,
 				Parts:           local,
 				Source:          core.MemorySource{C: ds.Latencies},
@@ -187,7 +190,7 @@ func runChaosTDSP(ds *Dataset, parts []*subgraph.PartitionData, nodesN, k int, c
 				nodes[r].Close() // fail loudly: unblock the peers
 				return
 			}
-			arr := prog.Arrivals(local, ds.Template)
+			arr := prog.ArrivalsOf(0, local, ds.Template)
 			mu.Lock()
 			for _, pd := range local {
 				for _, g := range pd.GlobalIdx {

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"tsgraph/internal/algorithms"
 	"tsgraph/internal/bsp"
 	"tsgraph/internal/cluster"
 	"tsgraph/internal/core"
@@ -163,7 +162,11 @@ func DistributedSmoke(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, op
 					local = append(local, pd)
 				}
 			}
-			prog := algorithms.NewTDSP(local, ds.SourceVertex, ds.Delta, "latency")
+			prog, err := newTDSP(ds, parts)
+			if err != nil {
+				errs[r] = err
+				return
+			}
 			engine := bsp.NewEngineRemote(local, cfg, nodes[r])
 			nodes[r].Bind(engine)
 			wallStart := time.Now()
@@ -183,7 +186,7 @@ func DistributedSmoke(ds *Dataset, nodesN, k int, cfg bsp.Config, seed int64, op
 				errs[r] = err
 				return
 			}
-			arr := prog.Arrivals(local, ds.Template)
+			arr := prog.ArrivalsOf(0, local, ds.Template)
 			reached := 0
 			for _, pd := range local {
 				for _, g := range pd.GlobalIdx {

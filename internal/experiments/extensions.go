@@ -242,7 +242,9 @@ func PrefetchAblation(ds *Dataset, algo string, k int, depths []int, dir string,
 		}
 		switch algo {
 		case AlgoTDSP:
-			job.Program = algorithms.NewTDSP(parts, ds.SourceVertex, ds.Delta, "latency")
+			if job.Program, err = newTDSP(ds, parts); err != nil {
+				return nil, err
+			}
 		case AlgoMeme:
 			job.Program = algorithms.NewMeme(parts, ds.Meme, "tweets")
 		default:

@@ -49,6 +49,13 @@ func buildParts(ds *Dataset, k int, seed int64) ([]*subgraph.PartitionData, *par
 	return parts, a, nil
 }
 
+// newTDSP builds the dataset's single-source TDSP program (a batch of one
+// query without targets) over parts, which must be every partition even
+// when a job runs only a share of them.
+func newTDSP(ds *Dataset, parts []*subgraph.PartitionData) (*algorithms.BatchTDSPProgram, error) {
+	return algorithms.NewBatchTDSP(parts, []algorithms.BatchQuery{{Source: ds.SourceVertex}}, 0, ds.Delta, "latency")
+}
+
 // ScalabilityCell is one bar of Fig 5a: total time for one algorithm on one
 // dataset at one partition count.
 type ScalabilityCell struct {

@@ -67,7 +67,9 @@ func RunTimestepSeries(ds *Dataset, algo string, ks []int, dir string, pack, bin
 		}
 		switch algo {
 		case AlgoTDSP:
-			job.Program = algorithms.NewTDSP(parts, ds.SourceVertex, ds.Delta, "latency")
+			if job.Program, err = newTDSP(ds, parts); err != nil {
+				return nil, err
+			}
 		case AlgoMeme:
 			job.Program = algorithms.NewMeme(parts, ds.Meme, "tweets")
 		default:

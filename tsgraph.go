@@ -350,15 +350,17 @@ func ReadEdgeList(r io.Reader, opts EdgeListOptions) (*Template, error) {
 // WriteEdgeList emits a template in SNAP edge-list form.
 func WriteEdgeList(w io.Writer, t *Template) error { return graph.WriteEdgeList(w, t) }
 
-// TDSPProgram is the Time-Dependent Shortest Path program (paper Alg 2);
-// construct with NewTDSPProgram to set options (e.g. ExistsAttr for
-// isExists-aware traversal) and run it with Run.
-type TDSPProgram = algorithms.TDSPProgram
+// TDSPProgram is the Time-Dependent Shortest Path program (paper Alg 2)
+// over a batch of sources; construct with NewTDSPProgram to set options
+// (e.g. ExistsAttr for isExists-aware traversal), run it with Run and read
+// the source's arrivals with ArrivalsOf(0, ...).
+type TDSPProgram = algorithms.BatchTDSPProgram
 
-// NewTDSPProgram builds a TDSP program over partitioned data; src is a
-// template vertex index, delta the instance period δ.
-func NewTDSPProgram(parts []*PartitionData, src int, delta float64, weightAttr string) *TDSPProgram {
-	return algorithms.NewTDSP(parts, src, delta, weightAttr)
+// NewTDSPProgram builds a single-source TDSP program over partitioned data
+// (a batch of one query without targets); src is a template vertex index,
+// delta the instance period δ.
+func NewTDSPProgram(parts []*PartitionData, src int, delta float64, weightAttr string) (*TDSPProgram, error) {
+	return algorithms.NewBatchTDSP(parts, []algorithms.BatchQuery{{Source: src}}, 0, delta, weightAttr)
 }
 
 // StoreOptions configures GoFS dataset storage (packing, binning,
